@@ -119,6 +119,7 @@ def reference_cg(
     n_workers: int,
     iterations: int,
     algorithm: CollectiveAlgorithm | str = CollectiveAlgorithm.LINEAR,
+    groups: list[list[int]] | None = None,
 ) -> tuple[list[float], list[float]]:
     """The exact ``x`` and residual history the machine must produce.
 
@@ -126,7 +127,9 @@ def reference_cg(
     same row partition, the same per-row accumulation order (diagonal,
     then left neighbour, then right) and the same allreduce combine
     order — so the machine result validates bit for bit whatever the
-    programming model or blocking mode.
+    programming model or blocking mode.  ``groups`` are the machine's
+    chiplet rank groups (None on flat topologies), which fix the ``hier``
+    allreduce's combine order.
     """
     algorithm = CollectiveAlgorithm.parse(algorithm)
     chunks = chunks_for(n, n_workers)
@@ -138,7 +141,7 @@ def reference_cg(
 
     def allreduce_scalar(partials: list[float]) -> float:
         return reference_allreduce(
-            [[value] for value in partials], "sum", algorithm
+            [[value] for value in partials], "sum", algorithm, groups=groups
         )[0]
 
     def local_dot(u: list[float], v: list[float]) -> list[float]:
@@ -393,7 +396,8 @@ def run_cg(config: SystemConfig, params: CgParams,
     x = [value for rank in range(config.n_workers) for value in results[rank]]
     if params.validate:
         expected_x, expected_rr = reference_cg(
-            params.n, config.n_workers, params.iterations, params.algorithm
+            params.n, config.n_workers, params.iterations, params.algorithm,
+            groups=system.rank_groups,
         )
     else:
         expected_x, expected_rr = x, rr_out[0]

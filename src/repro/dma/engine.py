@@ -19,7 +19,10 @@ fallback mode** (``noc_multicast=False``, for networks whose flit format
 cannot carry the mask, and as the equivalence baseline) the same
 descriptor expands into one ordinary-routed MULTICAST flit per (member,
 word) pair — identical receive-side behaviour (same streams, same slots,
-same credits), P-1 times the injections.
+same credits), P-1 times the injections.  A one-member mask is legal and
+common: the ring allreduce's neighbour sends are single-member multicasts,
+which the switch routes on its single-destination path (preferred port or
+deflect) without entering the branch splitter.
 
 Sequence space: all multicasts from one tile share a single slot counter,
 which is only coherent while every one of them targets the same group —
@@ -135,20 +138,21 @@ class _ActiveMulticast:
     ``entries`` is a flat list of ``(slot, member, flit)`` tuples: in
     multicast mode ``member`` is None (the fabric replicates; credit
     gating is against the whole group), in fallback mode one entry per
-    (member, word) with the member's own credit gate.
+    (member, word) with the member's own credit gate.  ``budgets`` maps
+    each member to its initial credit, read once at activation.  The
+    engine drops the state as soon as the last entry is accepted, so a
+    live ``_ActiveMulticast`` always has ``index < len(entries)``.
     """
 
-    __slots__ = ("entries", "members", "index", "uid")
+    __slots__ = ("entries", "members", "budgets", "index", "uid")
 
-    def __init__(self, entries: list, members: tuple[int, ...]) -> None:
+    def __init__(self, entries: list, members: tuple[int, ...],
+                 budgets: dict[int, int]) -> None:
         self.entries = entries
         self.members = members
+        self.budgets = budgets
         self.index = 0
         self.uid = 0  # telemetry lifecycle id (0 when off)
-
-    @property
-    def done(self) -> bool:
-        return self.index >= len(self.entries)
 
 
 class DmaTxEngine:
@@ -485,42 +489,39 @@ class DmaTxEngine:
                 self.pending_retx.append((member, slot, self._retx[slot]))
 
     def _activate_multicast(self, desc: TxDescriptor) -> _ActiveMulticast:
+        """Build the descriptor's whole flit stream (flit uids, the age
+        tie-break, are drawn here, in emission order)."""
         base = self._mcast_slot
-        total = len(desc.words)
+        words = desc.words
+        total = len(words)
         self._mcast_slot = base + total
         members = tuple(mask_members(desc.mask))
-        entries = []
-        if self.multicast:
-            for offset, word in enumerate(desc.words):
-                slot = base + offset
-                entries.append((slot, None, self._flit(
-                    MULTICAST_DST, desc.mask, slot, offset, total, word,
-                )))
-        else:
+        seq_mod = SLOT_MASK + 1 if self.tie.reliable else SEQ_WINDOW
+        src = self.node_id
+        subtype = int(SubType.MSG_DATA)
+        targets = (
+            [(None, MULTICAST_DST, desc.mask)] if self.multicast
             # Unicast fallback: same slots per member, member-major order
             # (mirroring the software linear broadcast's send order).
-            for member in members:
-                for offset, word in enumerate(desc.words):
-                    slot = base + offset
-                    entries.append((slot, member, self._flit(
-                        member, 1 << member, slot, offset, total, word,
-                    )))
-        self.stats.inc("messages_started")
-        return _ActiveMulticast(entries, members)
-
-    def _flit(self, dst: int, mask: int, slot: int, offset: int, total: int,
-              word: int) -> Flit:
-        seq_mod = SLOT_MASK + 1 if self.tie.reliable else SEQ_WINDOW
-        return Flit(
-            dst=dst,
-            src=self.node_id,
-            ptype=PacketType.MULTICAST,
-            subtype=int(SubType.MSG_DATA),
-            seq=slot % seq_mod,
-            burst=min(4, total - (offset // 4) * 4),
-            data=word,
-            dst_mask=mask,
+            else [(member, member, 1 << member) for member in members]
         )
+        entries = []
+        for member, dst, mask in targets:
+            for offset, word in enumerate(words):
+                slot = base + offset
+                entries.append((slot, member, Flit(
+                    dst=dst,
+                    src=src,
+                    ptype=PacketType.MULTICAST,
+                    subtype=subtype,
+                    seq=slot % seq_mod,
+                    burst=min(4, total - (offset // 4) * 4),
+                    data=word,
+                    dst_mask=mask,
+                )))
+        self.stats.inc("messages_started")
+        budgets = {m: self.tie.initial_credit(m) for m in members}
+        return _ActiveMulticast(entries, members, budgets)
 
     def tx_current(self) -> Flit | None:
         """The credit-gated flit to offer the arbiter this cycle."""
@@ -542,20 +543,21 @@ class DmaTxEngine:
             )
         self._retx_current = False
         active = self._active
-        if active is None or active.done:
+        if active is None:
             return None
         slot, member, flit = active.entries[active.index]
         credited = self.tie.mcast_credited
+        budgets = active.budgets
         if member is None:
             # Gate on the slowest group member (ack aggregation), each
             # against its topology-aware credit budget — a member across
             # a slow inter-chiplet link gets the wider window the system
             # builder planned for its round trip.
-            for m in active.members:
-                if slot >= credited.get(m, 0) + self.tie.initial_credit(m):
+            for m, budget in budgets.items():
+                if slot >= credited.get(m, 0) + budget:
                     self._n_credit_stalls += 1
                     return None
-        elif slot >= credited.get(member, 0) + self.tie.initial_credit(member):
+        elif slot >= credited.get(member, 0) + budgets[member]:
             self._n_credit_stalls += 1
             return None
         return flit
@@ -569,13 +571,15 @@ class DmaTxEngine:
             self.stats.inc("retx_sent")
             return
         active = self._active
-        assert active is not None and not active.done
+        assert active is not None
+        index = active.index
         if self.tie.reliable:
-            slot, _member, flit = active.entries[active.index]
+            slot, _member, flit = active.entries[index]
             self._retx[slot] = flit.data
-        active.index += 1
+        index += 1
+        active.index = index
         self._n_flits_sent += 1
-        if active.done:
+        if index == len(active.entries):
             self._active = None
             if self.telemetry is not None and active.uid:
                 self.telemetry.emit(

@@ -60,11 +60,21 @@ class InjectionPort:
         fabric = self.fabric
         if fabric.faults is not None:
             fabric.faults.stamp(flit)
-        # Inline the common validate_flit fast path; the full check (with
-        # its error message / strict wire encoding) runs only when needed.
+        # Inline validate_flit's checks, unicast and multicast; the full
+        # check (with its error message / strict wire encoding) runs only
+        # when one of them fails.
         n = fabric.topology.n_nodes
+        src = flit.src
+        dst = flit.dst
         if fabric.strict_encoding or not (
-            0 <= flit.dst < n and 0 <= flit.src < n
+            0 <= src < n
+            and (
+                dst < n if dst >= 0 else (
+                    flit.ptype is PacketType.MULTICAST
+                    and 0 < flit.dst_mask < 1 << n
+                    and not flit.dst_mask >> src & 1
+                )
+            )
         ):
             fabric.validate_flit(flit)
         self.pending = flit
@@ -289,6 +299,7 @@ class NocFabric(Component):
         port_range = range(n_ports)
         eject_capacity = self.eject_capacity
         scratch = self._scratch
+        idle_row = scratch.idle  # n_ports Nones, the width of a register row
         faults = self.faults
         masks_active = False
         if faults is not None:
@@ -327,15 +338,16 @@ class NocFabric(Component):
 
             # The register row is handed to the router as-is (it skips
             # idle links); clear it only after routing has read it.
-            outcome = route_node(
-                node, row, inject, topo, eject_capacity, out=scratch,
-                port_mask=faults.out_mask(node) if masks_active else -1,
-                productive=(
-                    faults.productive_override if masks_active else None
-                ),
-            )
-            for index in port_range:
-                row[index] = None
+            if masks_active:
+                outcome = route_node(
+                    node, row, inject, topo, eject_capacity, scratch,
+                    faults.out_mask(node), faults.productive_override,
+                )
+            else:
+                outcome = route_node(
+                    node, row, inject, topo, eject_capacity, scratch
+                )
+            row[:] = idle_row
             for flit in outcome.ejected:
                 flits_ejected += 1
                 flit_hops += flit.hops

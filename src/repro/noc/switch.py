@@ -29,10 +29,19 @@ re-splits at a later switch, so a multicast flit occupies at least one and
 at most ``#branches`` output ports and the deflection invariant (every
 transit flit is placed every cycle) is preserved.  Destinations whose bit
 matches the local node eject a copy through the normal local port, bounded
-by the same ``eject_capacity``.  Unicast traffic is routed exactly as
-before — multicast flits take the lowest transit priority — which the
-golden-equivalence harness in ``tests/noc/test_switch_golden.py`` checks
-flit-for-flit.
+by the same ``eject_capacity``.  A flit with a single remaining
+destination has one branch and never splits, so it skips the splitter:
+it takes that destination's preferred productive port, or else the first
+free port in scan order — counted as a deflection (with the same
+fault-mask spill) in transit, uncounted at injection, exactly as the
+splitter treats a one-branch mask.  This is the common case, not an edge
+case — the DMA engine's ring neighbour sends are single-member
+multicasts, and so is every recirculation of a flit whose last
+destination found the ejection port busy.  Unicast traffic is routed
+exactly as before — multicast flits take the lowest transit priority —
+and the golden-equivalence harness in ``tests/noc/test_switch_golden.py``
+checks both unicast and multicast routing flit-for-flit against plain
+reference transcriptions (the multicast one splitting every mask).
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ class RoutingOutcome:
     are then overwritten in place.
     """
 
-    __slots__ = ("ejected", "outputs", "injected", "deflections",
+    __slots__ = ("ejected", "outputs", "idle", "injected", "deflections",
                  "eject_overflow", "flit_copies")
 
     def __init__(
@@ -71,6 +80,8 @@ class RoutingOutcome:
         self.ejected = [] if ejected is None else ejected
         # outputs is indexed by output port, None = idle port.
         self.outputs = [None] * n_ports if outputs is None else outputs
+        #: All-idle outputs row, copied in when the structure is reused.
+        self.idle = (None,) * len(self.outputs)
         self.injected = injected
         self.deflections = deflections
         self.eject_overflow = eject_overflow
@@ -128,8 +139,7 @@ def route_node(
         ejected = out.ejected
         ejected.clear()
         outputs = out.outputs
-        for index in range(len(outputs)):
-            outputs[index] = None
+        outputs[:] = out.idle
         out.injected = False
         out.flit_copies = 0
 
@@ -222,7 +232,7 @@ def route_node(
     if mcast is not None:
         free_mask = _route_multicast(
             node, mcast, free_mask, eject_capacity - len(ejected),
-            topology, out, spill=port_mask >= 0, productive=productive,
+            topology, out, port_mask >= 0, productive, base,
         )
 
     if inject is not None and free_mask:
@@ -232,10 +242,25 @@ def route_node(
             # port is available, like the unicast injection rule (and
             # like it, without counting a deflection); with free_mask
             # zero the slot simply retries next cycle.
-            out.injected = _place_multicast(
-                node, inject, free_mask, 0, topology, out, must_place=False,
-                productive=productive,
-            )[1]
+            mask = inject.dst_mask
+            if mask & (mask - 1):
+                out.injected = _place_multicast(
+                    node, inject, free_mask, 0, topology, out,
+                    must_place=False, productive=productive,
+                )[1]
+                return out
+            # One destination: its preferred port, else the first free
+            # port in scan order — what the splitter does with one branch.
+            dirs = productive[base + mask.bit_length() - 1]
+            if dirs and free_mask >> dirs[0] & 1:
+                outputs[dirs[0]] = inject
+                out.injected = True
+                return out
+            for direction in topology.ports_table[node]:
+                if free_mask >> direction & 1:
+                    outputs[direction] = inject
+                    out.injected = True
+                    break
             return out
         injected = False
         for direction in productive[base + inject.dst]:
@@ -278,8 +303,9 @@ def _route_multicast(
     eject_budget: int,
     topology: Topology,
     out: RoutingOutcome,
-    spill: bool = False,
-    productive: list[tuple[int, ...]] | None = None,
+    spill: bool,
+    productive: list[tuple[int, ...]],
+    base: int,
 ) -> int:
     """Place every transit MULTICAST flit; returns the updated free mask.
 
@@ -287,35 +313,69 @@ def _route_multicast(
     were placed first), are processed oldest first among themselves, and
     each is guaranteed one output port by the deflection invariant; extra
     branch splits only consume ports that no younger multicast flit still
-    needs (``reserve``).
+    needs (``reserve``).  A flit left with a single destination has one
+    branch and never splits, so it is routed here like a unicast flit
+    that knows only its preferred port; the splitter sees only masks of
+    two or more destinations.  ``productive`` is the table in use
+    (possibly fault-rerouted) and ``base`` this node's row offset in it.
     """
     if len(mcast) > 1:
         mcast.sort(key=_AGE_KEY)
+    local = 1 << node
+    outputs = out.outputs
+    last = len(mcast) - 1
     for index, flit in enumerate(mcast):
-        reserve = len(mcast) - index - 1
-        if flit.dst_mask & (1 << node):
+        mask = flit.dst_mask
+        if mask & local:
             if eject_budget > 0:
                 eject_budget -= 1
-                remaining = flit.dst_mask & ~(1 << node)
-                if remaining == 0:
+                mask ^= local
+                if mask == 0:
                     # Last destination: the flit itself leaves the network.
                     flit.dst = node
                     flit.dst_mask = 0
                     out.ejected.append(flit)
                     continue
-                copy = _copy_flit(flit, dst=node, dst_mask=1 << node)
+                copy = _copy_flit(flit, dst=node, dst_mask=local)
                 out.flit_copies += 1
                 out.ejected.append(copy)
-                flit.dst_mask = remaining
+                flit.dst_mask = mask
             else:
                 # Ejection port saturated: keep the local bit set so the
                 # flit recirculates and retries — the hot-potato answer.
                 out.eject_overflow += 1
-        free_mask, placed = _place_multicast(
-            node, flit, free_mask, reserve, topology, out, must_place=True,
-            spill=spill, productive=productive,
-        )
-        assert placed, "multicast transit flit must always find a port"
+        if mask & (mask - 1):
+            free_mask, placed = _place_multicast(
+                node, flit, free_mask, last - index, topology, out,
+                must_place=True, spill=spill, productive=productive,
+            )
+            assert placed, "multicast transit flit must always find a port"
+            continue
+        dirs = productive[base + mask.bit_length() - 1]
+        if dirs:
+            direction = dirs[0]
+            if free_mask >> direction & 1:
+                outputs[direction] = flit
+                free_mask ^= 1 << direction
+                continue
+        # Preferred port taken (or the local bit overflowed, or the
+        # destination is unreachable): deflect, mask intact.
+        ports = topology.ports_table[node]
+        for direction in ports:
+            if free_mask >> direction & 1:
+                free_mask ^= 1 << direction
+                break
+        else:
+            # Fault-mask activation transient, as in _place_multicast.
+            direction = next(
+                (d for d in ports if outputs[d] is None), -1
+            ) if spill else -1
+            assert direction >= 0, (
+                "deflection invariant violated for multicast flit"
+            )
+        outputs[direction] = flit
+        flit.deflections += 1
+        out.deflections += 1
     return free_mask
 
 

@@ -259,9 +259,8 @@ class ProcessorNode(Component):
     def _phase_tie_tx(self, cycle: int) -> None:
         # Flow-control credits first: they unblock a stalled peer and are
         # generated by the TIE hardware, not the program.
-        credit = self.tie.credit_flit()
-        if credit is not None:
-            if self.arbiter.offer_message(credit):
+        if self._credit_items:
+            if self.arbiter.offer_message(self.tie.credit_flit()):
                 self.tie.credit_sent()
             return
         if self.tie.pending_retx:

@@ -146,7 +146,7 @@ class ReliabilityAgent:
                 )
         dma = self.dma
         active = dma._active if dma is not None else None
-        if active is not None and not active.done:
+        if active is not None:
             slot, member, _flit = active.entries[active.index]
             credited = tie.mcast_credited
             gating = active.members if member is None else (member,)

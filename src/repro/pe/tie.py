@@ -318,10 +318,13 @@ class TieInterface:
 
     def accept(self, flit: Flit) -> None:
         """Sort an incoming MESSAGE flit into data stream or request queue."""
-        if flit.ptype != PacketType.MESSAGE:
-            if flit.ptype == PacketType.MULTICAST:
-                self._accept_multicast(flit)
-                return
+        ptype = flit.ptype
+        if ptype == PacketType.MULTICAST:
+            # First: with a DMA engine fitted, most message traffic is
+            # multicast stream data.
+            self._accept_multicast(flit)
+            return
+        if ptype != PacketType.MESSAGE:
             raise ProtocolError(f"TIE got non-message flit {flit!r}")
         self.rx_event = True
         if flit.subtype == SubType.MSG_REQUEST:

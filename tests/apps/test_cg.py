@@ -103,3 +103,20 @@ def test_cg_params_validation():
         CgParams(iterations=0)
     with pytest.raises(ConfigError):
         CgParams(poll_interval=0)
+
+
+def test_hier_cg_on_chiplet_package_validates():
+    """Regression: the reference must combine in the machine's chiplet
+    rank groups.  It used to ignore them, so hier CG on a package
+    reported validated=False although the machine was right."""
+    config = SystemConfig(
+        n_workers=16, cache_size_kb=8, topology_kind="chiplet",
+        chiplets=4, chiplet_grid=(2, 2),
+    )
+    result = run_cg(
+        config, CgParams(n=32, iterations=3, model="empi", algorithm="hier")
+    )
+    assert result.validated
+    # The grouped order differs from the flat ring's, so the check above
+    # would fail against the ungrouped reference.
+    assert reference_cg(32, 16, 3, "hier") != (result.x, result.rr_history)

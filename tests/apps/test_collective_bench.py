@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps import collective_bench
 from repro.apps.collective_bench import (
     COLLECTIVES,
     CollectiveBenchParams,
@@ -64,3 +65,34 @@ def test_params_validation():
         CollectiveBenchParams(n_values=0)
     with pytest.raises(ConfigError):
         CollectiveBenchParams(repeats=0)
+
+
+@pytest.mark.parametrize("collective", ["allreduce", "scatter", "gather"])
+def test_validation_flags_one_wrong_element_on_one_rank(collective,
+                                                        monkeypatch):
+    """The reference is built once per repetition, but every rank's
+    output is still compared bit for bit against its own expectation."""
+    make_program = collective_bench._make_program
+
+    def corrupting(params, rank, n_workers, results):
+        program = make_program(params, rank, n_workers, results)
+        if rank != n_workers - 1 and collective != "gather":
+            return program
+
+        def wrapped(ctx):
+            yield from program(ctx)
+            last = results[rank][-1]
+            if last is not None:
+                if collective == "gather":
+                    last[1][0] += 2.0 ** -40
+                else:
+                    last[0] += 2.0 ** -40
+
+        return wrapped
+
+    monkeypatch.setattr(collective_bench, "_make_program", corrupting)
+    result = run_collective_bench(
+        config_for(3),
+        CollectiveBenchParams(collective=collective, n_values=4, repeats=2),
+    )
+    assert not result.validated

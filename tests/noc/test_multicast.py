@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import PacketFormatError, ProtocolError
 from repro.noc.flit import MULTICAST_DST, Flit
 from repro.noc.network import NocFabric
 from repro.noc.packet import PacketType
@@ -237,6 +237,41 @@ def test_validate_rejects_bad_multicast_masks():
         fabric.validate_flit(
             Flit(dst=-1, src=0, ptype=PacketType.MESSAGE)
         )
+
+
+@pytest.mark.parametrize("flit", [
+    mcast_flit(src=0, mask=0, uid=1),
+    mcast_flit(src=0, mask=1 << 9, uid=2),
+    mcast_flit(src=3, mask=1 << 3, uid=3),
+    mcast_flit(src=9, mask=1 << 3, uid=4),
+    Flit(dst=-1, src=0, ptype=PacketType.MESSAGE, dst_mask=1 << 3, uid=5),
+], ids=["empty-mask", "mask-too-wide", "mask-has-source", "src-out-of-range",
+        "not-multicast"])
+def test_try_inject_rejects_what_validate_rejects(flit):
+    # The injection port inlines validate_flit's checks; every flit the
+    # full check refuses must still be refused at the port.
+    fabric = NocFabric(FoldedTorusTopology(3, 3))
+    with pytest.raises(ProtocolError):
+        fabric.ports_of(0).inject.try_inject(flit)
+    assert fabric.flits_in_network == 0
+
+
+def test_try_inject_accepts_valid_multicast_and_strict_path():
+    for strict in (False, True):
+        fabric = NocFabric(FoldedTorusTopology(3, 3), strict_encoding=strict)
+        flit = mcast_flit(src=0, mask=(1 << 5) | (1 << 8), uid=1)
+        assert fabric.ports_of(0).inject.try_inject(flit)
+        assert fabric.flits_in_network == 1
+    # Under strict encoding every flit takes the full path, wire encoding
+    # included: a payload too wide for the data field is refused there
+    # (and only there — the lax port accepts it).
+    wide = mcast_flit(src=0, mask=1 << 5, uid=2, data=1 << 40)
+    assert NocFabric(FoldedTorusTopology(3, 3)).ports_of(0).inject.try_inject(
+        wide
+    )
+    fabric = NocFabric(FoldedTorusTopology(3, 3), strict_encoding=True)
+    with pytest.raises(PacketFormatError):
+        fabric.ports_of(0).inject.try_inject(wide)
 
 
 def test_strict_encoding_accepts_mask_beyond_spare_bits():
