@@ -51,6 +51,12 @@ class AddressLut:
 #: Per-transaction counter keys, precomputed so start() builds no strings.
 _TXN_KEY = {kind: f"txn_{kind.name.lower()}" for kind in PacketType}
 
+#: Wire sub-type values as plain ints, compared on every reply flit.
+_ADDR = int(SubType.ADDR)
+_DATA = int(SubType.DATA)
+_ACK = int(SubType.ACK)
+_NACK = int(SubType.NACK)
+
 
 class _BridgeState(enum.Enum):
     IDLE = "idle"
@@ -98,7 +104,7 @@ class Pif2NocBridge:
                 dst=mpmmu,
                 src=self.node_id,
                 ptype=txn.kind,
-                subtype=int(SubType.ADDR),
+                subtype=_ADDR,
                 seq=0,
                 burst=1,
                 data=txn.addr,
@@ -143,7 +149,7 @@ class Pif2NocBridge:
             )
         state = self._state
         if state is _BridgeState.WAIT_DATA:
-            if flit.subtype != int(SubType.DATA):
+            if flit.subtype != _DATA:
                 raise ProtocolError(f"{self.name}: expected DATA, got {flit!r}")
             if self.reorder.insert(flit.seq, flit.data):
                 txn.read_words = self.reorder.take()
@@ -151,20 +157,20 @@ class Pif2NocBridge:
             return None
         if state is _BridgeState.WAIT_GRANT:
             if txn.kind is PacketType.LOCK:
-                if flit.subtype == int(SubType.ACK):
+                if flit.subtype == _ACK:
                     txn.granted = True
-                elif flit.subtype == int(SubType.NACK):
+                elif flit.subtype == _NACK:
                     txn.granted = False
                     self.stats.inc("lock_nacks")
                 else:
                     raise ProtocolError(f"{self.name}: bad lock reply {flit!r}")
                 return self._complete(cycle)
             if txn.kind is PacketType.UNLOCK:
-                if flit.subtype != int(SubType.ACK):
+                if flit.subtype != _ACK:
                     raise ProtocolError(f"{self.name}: bad unlock reply {flit!r}")
                 return self._complete(cycle)
             # Write grant: start streaming data flits.
-            if flit.subtype != int(SubType.ACK):
+            if flit.subtype != _ACK:
                 raise ProtocolError(f"{self.name}: expected write grant, got {flit!r}")
             mpmmu = self.lut.lookup(txn.addr)
             self._outgoing = [
@@ -172,7 +178,7 @@ class Pif2NocBridge:
                     dst=mpmmu,
                     src=self.node_id,
                     ptype=txn.kind,
-                    subtype=int(SubType.DATA),
+                    subtype=_DATA,
                     seq=index,
                     burst=len(txn.write_words),
                     data=word,
@@ -182,7 +188,7 @@ class Pif2NocBridge:
             self._state = _BridgeState.SEND_DATA
             return None
         if state is _BridgeState.WAIT_FINAL:
-            if flit.subtype != int(SubType.ACK):
+            if flit.subtype != _ACK:
                 raise ProtocolError(f"{self.name}: expected final ACK, got {flit!r}")
             return self._complete(cycle)
         raise ProtocolError(

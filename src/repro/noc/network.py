@@ -15,6 +15,21 @@ Timing contract (one hop = one cycle):
   owning node (stepped after the fabric in the same cycle — registration
   order) may consume it immediately, modelling the direct TIE connection
   into the processor register file.
+
+Lone-flit path.  Shared-memory traffic is a request/reply exchange with
+the single MPMMU, so most cycles see exactly one flit in the network (on
+the write-through Jacobi point, 95% of fabric steps).  With no fault
+injector and no spatial counters, a step that holds one unicast flit
+skips the switch: the flit has no contender, so its first productive
+port is always attached and free, and :meth:`NocFabric._step_lone`
+latches it there (or ejects it at its destination) exactly as
+:func:`~repro.noc.switch.route_node` and the commit phase would — same
+cycle, hop count, counters in the same key order, latency record and
+in-cycle RX wake.  Everything else takes the general step: self-addressed
+and multicast flits, and any hop over a slow or serialized link (whose
+wire occupancy and delayed delivery live there).  The fabric-level
+golden-equivalence test (``tests/noc/test_fabric_golden.py``) checks it
+cycle by cycle against a transcription of the general step.
 """
 
 from __future__ import annotations
@@ -280,6 +295,13 @@ class NocFabric(Component):
             else:
                 self.sleep()
             return
+        if (
+            self._flit_count == 1
+            and self.faults is None
+            and spatial is None
+            and self._step_lone(cycle)
+        ):
+            return
         if len(work) == 1:
             work_nodes = list(work)
         else:
@@ -436,6 +458,71 @@ class NocFabric(Component):
                 self.sleep(until=delayed[0][0])
             else:
                 self.sleep()
+
+    def _step_lone(self, cycle: int) -> bool:
+        """Route the only flit in the network without the switch.
+
+        Called with exactly one flit in flight, no fault injector and no
+        spatial counters.  With nothing to contend against, a unicast flit
+        in transit or at injection takes its first productive port (always
+        attached and free), and one at its destination ejects.  Returns
+        False, having changed nothing, for what the general step must
+        route: self-addressed and multicast flits, and a hop over a slow
+        or serialized link.  Counters go straight into the CounterSet's
+        dict (one or two per flit, on most cycles of a shared-memory run).
+        """
+        work = self._work
+        regs = self.regs
+        for node in work:
+            break
+        port = self.ports[node]
+        inject = port.inject.pending
+        if inject is None:
+            row = regs[node]
+            in_port = 0
+            flit = row[0]
+            while flit is None:
+                in_port += 1
+                flit = row[in_port]
+            dst = flit.dst
+            if dst == node and self.eject_capacity:
+                row[in_port] = None
+                work.clear()
+                self._eject(port, flit, cycle)
+                c = self.stats._counters
+                c["flits_ejected"] = c.get("flits_ejected", 0) + 1
+                c["flit_hops"] = c.get("flit_hops", 0) + flit.hops
+                self.sleep()
+                return True
+        else:
+            flit = inject
+            dst = flit.dst
+        if dst < 0 or dst == node:
+            return False
+        topo = self.topology
+        dirs = topo.productive_table[node * topo.n_nodes + dst]
+        if not dirs:
+            return False
+        direction = dirs[0]
+        if not self._uniform_links and (
+            topo.link_latency_table[node][direction] != 1
+            or topo.link_ser_table[node][direction] != 1
+        ):
+            return False
+        flit.hops += 1
+        if inject is None:
+            row[in_port] = None
+        else:
+            inject.injected_at = cycle
+            port.inject.pending = None
+            port.inject.injected += 1
+            c = self.stats._counters
+            c["flits_injected"] = c.get("flits_injected", 0) + 1
+        neighbor = topo.neighbor_table[node][direction]
+        regs[neighbor][topo.reverse_port_table[node][direction]] = flit
+        work.clear()
+        work.add(neighbor)
+        return True
 
     def _eject(
         self, port: NodePorts, flit: Flit, cycle: int, zero_hop: bool = False

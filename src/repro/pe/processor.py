@@ -131,6 +131,8 @@ class ProcessorNode(Component):
         self._pending_op: tuple | None = None
         self._jobs: deque[_Job] = deque()
         self._active_job: _Job | None = None
+        #: Posted writes queued or in flight (write-buffer occupancy).
+        self._n_posted = 0
         #: Pending blocking receive: (src_node, n_words, from_mcast_stream).
         self._wait_msg: tuple[int, int, bool] | None = None
         self._pending_req_flit: Flit | None = None
@@ -628,10 +630,7 @@ class ProcessorNode(Component):
     ) -> bool:
         """Queue a posted write against write-buffer capacity."""
         self._check(addr)
-        posted = sum(1 for job in self._jobs if job.tag == "posted")
-        if self._active_job is not None and self._active_job.tag == "posted":
-            posted += 1
-        if posted >= self.write_buffer.depth:
+        if self._n_posted >= self.write_buffer.depth:
             self.write_buffer.stall_cycles += 1
             self._pending_op = op
             return False
@@ -639,6 +638,7 @@ class ProcessorNode(Component):
             _Job(MemTransaction(kind, addr, write_words=words, blocking=False),
                  "posted")
         )
+        self._n_posted += 1
         return True
 
     def _op_flush(self, cycle: int, op: tuple) -> bool:
@@ -691,6 +691,7 @@ class ProcessorNode(Component):
         self._active_job = None
         tag = job.tag
         if tag == "posted":
+            self._n_posted -= 1
             if self.state is CoreState.WAIT_WB:
                 # Retry the stalled op next cycle; _pending_op still holds it.
                 self._resume(cycle, cost=1)

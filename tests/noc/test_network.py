@@ -14,7 +14,11 @@ from repro.kernel.simulator import Simulator
 from repro.noc.flit import Flit
 from repro.noc.network import NocFabric
 from repro.noc.packet import PacketType
-from repro.noc.topology import FoldedTorusTopology
+from repro.noc.topology import (
+    ChipletTopology,
+    FoldedTorusTopology,
+    MeshTopology,
+)
 
 
 class Collector(Component):
@@ -229,3 +233,95 @@ def test_mean_latency_reasonable_under_light_load():
     sim.run(max_cycles=200)
     # Light load: latency should be close to hop distance + injection.
     assert fabric.latency.mean <= 6.0
+
+
+def _slow_chiplets() -> ChipletTopology:
+    """4x(2x2) package: IO hub at node 0, gateways at nodes 1/5/9/13,
+    inter-chiplet links 4 cycles long and 2 cycles per flit wide."""
+    return ChipletTopology(4, 2, 2, link_latency=4, link_serialization=2)
+
+
+#: One flit alone in the network, injected at cycle 0: (topology, src,
+#: dst) -> (eject cycle, latency, hops, fabric counters).  The chiplet
+#: cases include hops over the slow inter-chiplet links, which must not
+#: be timed as one-cycle hops.
+LONE_FLIT_CASES = {
+    "mesh-corner-to-corner": (
+        lambda: MeshTopology(4, 4), 0, 15, (6, 7, 6),
+    ),
+    "torus-wrap": (
+        lambda: FoldedTorusTopology(4, 4), 0, 10, (4, 5, 4),
+    ),
+    "chiplet-cross-package": (_slow_chiplets, 4, 16, (12, 13, 6)),
+    "chiplet-tile-to-hub": (_slow_chiplets, 4, 0, (6, 7, 3)),
+    "chiplet-hub-to-tile": (_slow_chiplets, 0, 16, (6, 7, 3)),
+    "chiplet-gateway-to-hub": (_slow_chiplets, 5, 0, (4, 5, 1)),
+    "chiplet-intra-chiplet": (_slow_chiplets, 2, 3, (2, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONE_FLIT_CASES))
+def test_lone_flit_timing_and_counters(case):
+    """A flit alone in the fabric: exact eject cycle, latency, hop count
+    and fabric counters, over one-cycle and slow, serialized links."""
+    make_topology, src, dst, expected = LONE_FLIT_CASES[case]
+    eject_cycle, latency, hops = expected
+    sim = Simulator()
+    fabric = NocFabric(make_topology())
+    sim.register(fabric)
+    collector = Collector(fabric, dst)
+    sim.register(collector)
+    flit = Flit(dst=dst, src=src, ptype=PacketType.MESSAGE, data=5)
+    assert fabric.ports_of(src).inject.try_inject(flit)
+    sim.run(max_cycles=200)
+    assert collector.received == [(eject_cycle, flit)]
+    assert flit.hops == hops
+    assert flit.injected_at == 0
+    assert fabric.latency.count == 1
+    assert fabric.latency.total == latency
+    assert list(fabric.stats.as_dict().items()) == [
+        ("flits_injected", 1), ("flits_ejected", 1), ("flit_hops", hops),
+    ]
+    assert fabric.ports_of(src).inject.injected == 1
+    assert fabric.flits_in_network == 0
+    assert not fabric.active
+
+
+class Sender(Component):
+    """Injects one scheduled flit per listed cycle from one node."""
+
+    def __init__(self, fabric: NocFabric, node: int, schedule) -> None:
+        super().__init__(f"sender[{node}]")
+        self.port = fabric.ports_of(node).inject
+        self.schedule = dict(schedule)  # cycle -> flit
+
+    def step(self, cycle: int) -> None:
+        flit = self.schedule.pop(cycle, None)
+        if flit is not None:
+            assert self.port.try_inject(flit)
+        if self.schedule:
+            self.sleep(until=min(self.schedule))
+        else:
+            self.sleep()
+
+
+def test_serialized_link_holds_its_wire_after_a_lone_flit():
+    """A one-cycle link that takes two cycles per flit: the first flit
+    crosses it alone, and the wire stays busy for the follower sent one
+    cycle later, which therefore lands one cycle late."""
+    sim = Simulator()
+    fabric = NocFabric(
+        ChipletTopology(2, 2, 2, link_latency=1, link_serialization=2)
+    )
+    sim.register(fabric)
+    hub = Collector(fabric, 0)
+    sim.register(hub)
+    first = Flit(dst=0, src=1, ptype=PacketType.MESSAGE, data=1)
+    second = Flit(dst=0, src=1, ptype=PacketType.MESSAGE, data=2)
+    sim.register(Sender(fabric, 1, {0: first, 1: second})).wake()
+    sim.run(max_cycles=100)
+    # Accepted at cycles 1 and 2; the first occupies the wire for
+    # cycles 1-2, so the second crosses at 3 instead of 2.
+    assert hub.received == [(2, first), (4, second)]
+    assert (first.injected_at, second.injected_at) == (1, 2)
+    assert fabric.latency.total == 2 + 3

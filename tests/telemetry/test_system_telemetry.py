@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.apps.cg import CgParams, run_cg
+from repro.apps.jacobi import JacobiParams, run_jacobi
 from repro.errors import ConfigError
 from repro.system.config import SystemConfig
 from repro.telemetry.chrome_trace import (
@@ -72,13 +74,42 @@ def test_telemetry_is_cycle_neutral(tiny_run):
     """The same workload with telemetry=None runs the same cycles."""
     __, traced = tiny_run
     config, params = TRACE_WORKLOADS["cg-tiny"].build()
-    from repro.apps.cg import run_cg
-
     bare = run_cg(config.with_changes(telemetry=None), params)
     assert bare.validated
     assert bare.total_cycles == traced.total_cycles
     assert bare.solve_cycles == traced.solve_cycles
     assert bare.x == traced.x
+
+
+#: Telemetry-off cycle counts on the 16-worker 4x(2x2) package with
+#: 4-cycle, 2-cycle-wide inter-chiplet links.  Spatial counters make the
+#: fabric take its general step everywhere, so these runs also pin that a
+#: fabric with telemetry off times every hop the way the general step does.
+PACKAGE_RUNS = {
+    "cg-overlap-tree": (
+        run_cg, CgParams(n=32, iterations=3, model="empi", algorithm="tree",
+                         overlap=True),
+        7003,
+    ),
+    "jacobi-hybrid-full": (
+        run_jacobi, JacobiParams(n=18, iterations=2, warmup=1,
+                                 model="hybrid_full"),
+        30043,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGE_RUNS))
+def test_telemetry_is_cycle_neutral_on_a_slow_link_package(name):
+    run, params, cycles = PACKAGE_RUNS[name]
+    config = SystemConfig(
+        n_workers=16, cache_size_kb=16, topology_kind="chiplet", chiplets=4,
+        chiplet_grid=(2, 2), chiplet_link_latency=4, chiplet_link_width=2,
+    )
+    bare = run(config, params)
+    traced = run(config.with_changes(telemetry=TelemetryConfig()), params)
+    assert bare.validated and traced.validated
+    assert bare.total_cycles == traced.total_cycles == cycles
 
 
 def test_export_passes_the_schema_validator(tiny_run):
